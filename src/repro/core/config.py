@@ -85,22 +85,11 @@ class SpotCheckConfig:
         Run the steady-state checkpoint streams of every backed-up VM
         as DES flows through the group checkpoint scheduler (one
         cohort wakeup per shared interval, aggregated flows on the
-        backup datapath).  Off by default: the scenario goldens
-        predate steady flush simulation and price only final commits,
-        so enabling it is an explicit opt-in for fleet cells.
-    defer_flush_accounting:
-        With ``steady_checkpoint_flush``, credit members O(1) per
-        round and settle per-VM totals at finalize (fleet mode)
-        instead of eagerly every round.
-    soa_checkpoint_flush:
-        With ``steady_checkpoint_flush``, run the steady flushes
-        through the struct-of-arrays cohort core
-        (:class:`~repro.virt.migration.soa.SoaCheckpointScheduler`):
-        one vectorized runner per backup datapath batching every
-        plan-group's wakeups, sized for heterogeneous fleets where
-        distinct workload classes would otherwise each cost their own
-        cohort process.  Bit-identical to the per-cohort scheduler and
-        the per-VM streams.
+        backup datapath).  Members are credited O(1) per round and
+        their per-VM totals settled at finalize.  Off by default: the
+        scenario goldens predate steady flush simulation and price
+        only final commits, so enabling it is an explicit opt-in for
+        fleet cells.
     """
 
     allocation_policy: str = "1P-M"
@@ -126,14 +115,8 @@ class SpotCheckConfig:
     live_migration_bps: float = 22e6
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     steady_checkpoint_flush: bool = False
-    defer_flush_accounting: bool = False
-    soa_checkpoint_flush: bool = False
 
     def __post_init__(self):
-        if self.soa_checkpoint_flush and not self.steady_checkpoint_flush:
-            raise ValueError(
-                "soa_checkpoint_flush batches the steady checkpoint "
-                "flushes and so requires steady_checkpoint_flush")
         if self.bid_policy not in ("on-demand", "multiple", "knee"):
             raise ValueError(f"unknown bid policy {self.bid_policy!r}")
         if self.bid_multiple < 1.0:

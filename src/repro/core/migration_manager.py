@@ -25,7 +25,6 @@ from repro.obs.trace import NULL_TRACER
 from repro.virt.hypervisor import HostVM
 from repro.virt.migration.checkpoint import CheckpointStream
 from repro.virt.migration.group import GroupCheckpointScheduler
-from repro.virt.migration.soa import SoaCheckpointScheduler
 from repro.virt.migration.live import PreCopyMigration
 from repro.virt.migration.restore import SKELETON_BYTES
 from repro.virt.vm import VMState
@@ -104,21 +103,16 @@ class MigrationManager:
 
         All VMs of one backup server share a scheduler; VMs with
         identical plans that enroll at the same instant share a cohort
-        (one wakeup per interval for the whole group).  With
-        ``soa_checkpoint_flush`` the struct-of-arrays core serves every
-        plan-group from one runner instead — the heterogeneous-fleet
-        path, bit-identical by contract.
+        (one wakeup per interval for the whole group), so a fleet of
+        mixed workload classes costs one cohort per class.  Members
+        are credited O(1) per round and settled at finalize.
         """
         if vm.id in self._flush_members:
             return
         scheduler = self._flush_schedulers.get(backup.id)
         if scheduler is None:
-            core = (SoaCheckpointScheduler
-                    if self.config.soa_checkpoint_flush
-                    else GroupCheckpointScheduler)
-            scheduler = core(
-                self.env, backup.ingest,
-                defer_accounting=self.config.defer_flush_accounting)
+            scheduler = GroupCheckpointScheduler(
+                self.env, backup.ingest, defer_accounting=True)
             self._flush_schedulers[backup.id] = scheduler
 
         def _commit(flushed, vm_id=vm.id, store=backup.store):

@@ -3,10 +3,16 @@
 import pytest
 
 from repro.cloud.api import CloudApi
-from repro.cloud.errors import BidTooLow, CapacityError, InvalidOperation
+from repro.cloud.errors import (
+    BidTooLow,
+    CapacityError,
+    InsufficientInstanceCapacity,
+    InvalidOperation,
+)
 from repro.cloud.instance_types import M3_CATALOG
 from repro.cloud.instances import InstanceState, Market
 from repro.cloud.zones import default_region
+from repro.faults import CapacityEpisode, FaultInjector, FaultPlan
 
 from tests.conftest import flat_trace, run_process, step_trace
 
@@ -152,6 +158,28 @@ class TestTerminate:
             yield cloud.terminate_instance(instance)
         with pytest.raises(InvalidOperation):
             run_process(env, flow())
+
+    def test_capacity_episode_does_not_fail_terminate(
+            self, env, region, zone):
+        """A capacity episode refuses launches, never a terminate."""
+        plan = FaultPlan(capacity_episodes=(
+            CapacityEpisode(MEDIUM.name, zone.name, 100.0, 1000.0,
+                            market="on-demand"),))
+        injector = FaultInjector(env, plan)
+        api = CloudApi(env, region, M3_CATALOG, faults=injector)
+
+        def flow():
+            instance = yield api.run_instance(
+                MEDIUM, zone, Market.ON_DEMAND)
+            yield env.timeout(200.0 - env.now)
+            with pytest.raises(InsufficientInstanceCapacity):
+                yield api.run_instance(MEDIUM, zone, Market.ON_DEMAND)
+            yield api.terminate_instance(instance)
+            return instance
+        instance = run_process(env, flow())
+        assert env.now < 1000.0
+        assert instance.state is InstanceState.TERMINATED
+        assert injector.counts == {"capacity": 1}
 
 
 class TestRevocationTeardown:

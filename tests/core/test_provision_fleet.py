@@ -72,8 +72,7 @@ class TestProvisionFleet:
 
     def test_finalize_settles_flush_credits(self):
         env, api, controller = build(SpotCheckConfig(
-            vms_per_backup=100, steady_checkpoint_flush=True,
-            defer_flush_accounting=True))
+            vms_per_backup=100, steady_checkpoint_flush=True))
         _, vms = provision(env, controller, 10)
         env.run(until=env.now + 3600.0)
         controller.finalize()

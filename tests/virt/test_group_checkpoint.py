@@ -177,75 +177,106 @@ class TestCohorts:
         assert sched.settle_now() is flushed
 
 
-class _SteppedMemory:
-    """Time-varying double: the steady interval doubles at ``switch_t``.
+class _RatedMemory:
+    """Pure-rate test double: dirty is linear in the interval.
 
-    ``dirty_bytes`` stays a pure function of the interval, so per-VM
+    ``dirty_bytes`` is a pure function of the interval, so per-VM
     streams (which evaluate it at wake time) and cohort plans (which
-    capture it at sleep time) agree; only the *interval* moves, which
-    is exactly the divergence the cohort must detect and split on.
-    Deliberately not a ``MemoryModel`` so the plan cache is bypassed.
+    capture it at sleep time) agree exactly.  Deliberately not a
+    ``MemoryModel`` so the plan cache is bypassed.
     """
+
+    def __init__(self, rate_bps=2e6, interval_s=20.0):
+        self.rate_bps = rate_bps
+        self.base_interval_s = interval_s
+        self.total_bytes = 4e9
+
+    def interval_for_dirty_bytes(self, budget_bytes):
+        return self.base_interval_s
+
+    def dirty_bytes(self, interval_s):
+        return self.rate_bps * min(interval_s, 3600.0)
+
+
+class _SteppedMemory(_RatedMemory):
+    """The steady interval doubles at ``switch_t``: only the *interval*
+    moves, which is exactly the divergence the cohort must detect and
+    split on."""
 
     def __init__(self, env, rate_bps=2e6, base_interval_s=20.0,
                  switch_t=100.0, new_interval_s=None):
+        super().__init__(rate_bps=rate_bps, interval_s=base_interval_s)
         self.env = env
-        self.rate_bps = rate_bps
-        self.base_interval_s = base_interval_s
         self.switch_t = switch_t
         self.new_interval_s = (new_interval_s if new_interval_s is not None
                                else 2 * base_interval_s)
-        self.total_bytes = 4e9
 
     def interval_for_dirty_bytes(self, budget_bytes):
         if self.env.now < self.switch_t:
             return self.base_interval_s
         return self.new_interval_s
 
-    def dirty_bytes(self, interval_s):
-        return self.rate_bps * min(interval_s, 3600.0)
+
+class _ParkingMemory(_RatedMemory):
+    """Parked (infinite interval) inside [park_t, unpark_t)."""
+
+    def __init__(self, env, rate_bps=2e6, interval_s=20.0,
+                 park_t=50.0, unpark_t=4000.0):
+        super().__init__(rate_bps=rate_bps, interval_s=interval_s)
+        self.env = env
+        self.park_t = park_t
+        self.unpark_t = unpark_t
+
+    def interval_for_dirty_bytes(self, budget_bytes):
+        if self.park_t <= self.env.now < self.unpark_t:
+            return float("inf")
+        return self.base_interval_s
+
+
+def run_per_vm(env, memories, duration_s):
+    """Reference: one CheckpointStream process per memory double."""
+    server = BackupServer(env)
+    flushed = {}
+    stops = []
+    for index, memory in enumerate(memories):
+        stream = CheckpointStream(memory, CheckpointConfig())
+        stop = env.event()
+        stops.append(stop)
+        member = f"vm{index}"
+        flushed[member] = 0.0
+
+        def _account(nbytes, member=member):
+            flushed[member] += nbytes
+
+        stream.run(env, server.ingest, stop, on_flush=_account)
+    env.run(until=duration_s)
+    for stop in stops:
+        stop.succeed()
+    env.run(until=duration_s + 30.0)
+    return flushed
+
+
+def run_grouped(env, memories, duration_s):
+    """The same doubles enrolled in one eager-mode scheduler."""
+    server = BackupServer(env)
+    sched = GroupCheckpointScheduler(env, server.ingest)
+    for index, memory in enumerate(memories):
+        stream = CheckpointStream(memory, CheckpointConfig())
+        sched.join(f"vm{index}", stream)
+    env.run(until=duration_s)
+    env.run(until=env.process(sched.settle()))
+    env.run(until=duration_s + 30.0)
+    return sched, dict(sched.flushed)
 
 
 class TestDivergenceFallback:
-    def _run_per_vm(self, duration_s):
-        env = Environment(seed=9)
-        server = BackupServer(env)
-        flushed = {}
-        stops = []
-        for index in range(3):
-            stream = CheckpointStream(_SteppedMemory(env),
-                                      CheckpointConfig())
-            stop = env.event()
-            stops.append(stop)
-            member = f"vm{index}"
-            flushed[member] = 0.0
-
-            def _account(nbytes, member=member):
-                flushed[member] += nbytes
-
-            stream.run(env, server.ingest, stop, on_flush=_account)
-        env.run(until=duration_s)
-        for stop in stops:
-            stop.succeed()
-        env.run(until=duration_s + 30.0)
-        return flushed
-
-    def _run_grouped(self, duration_s):
-        env = Environment(seed=9)
-        server = BackupServer(env)
-        sched = GroupCheckpointScheduler(env, server.ingest)
-        for index in range(3):
-            stream = CheckpointStream(_SteppedMemory(env),
-                                      CheckpointConfig())
-            sched.join(f"vm{index}", stream)
-        env.run(until=duration_s)
-        env.run(until=env.process(sched.settle()))
-        env.run(until=duration_s + 30.0)
-        return sched, dict(sched.flushed)
-
     def test_split_reproduces_per_vm_results(self):
-        per_vm = self._run_per_vm(310.0)
-        sched, grouped = self._run_grouped(310.0)
+        env_a = Environment(seed=9)
+        per_vm = run_per_vm(
+            env_a, [_SteppedMemory(env_a) for _ in range(3)], 310.0)
+        env_b = Environment(seed=9)
+        sched, grouped = run_grouped(
+            env_b, [_SteppedMemory(env_b) for _ in range(3)], 310.0)
         assert grouped == per_vm
         # All three members diverged at t=100 and were split off into
         # one fresh cohort (same instant, same new plan).
@@ -274,6 +305,86 @@ class TestDivergenceFallback:
         assert sched.splits == 4
         assert sched.cohorts_created == 3
         env.run(until=env.process(sched.settle()))
+
+
+class TestMixedPlans:
+    def _memories(self):
+        # Two plan classes enrolled at the same instant: aggregated
+        # caps stay under the ingest capacity, so equivalence is exact
+        # even when the classes' flows overlap (cap-bound individually).
+        return [_RatedMemory(rate_bps=2e6, interval_s=20.0),
+                _RatedMemory(rate_bps=2e6, interval_s=20.0),
+                _RatedMemory(rate_bps=1.5e6, interval_s=30.0),
+                _RatedMemory(rate_bps=1.5e6, interval_s=30.0)]
+
+    def test_mixed_plans_match_per_vm(self):
+        per_vm = run_per_vm(Environment(seed=9), self._memories(), 310.0)
+        sched, grouped = run_grouped(Environment(seed=9),
+                                     self._memories(), 310.0)
+        assert grouped == per_vm
+        # One cohort per plan class, not per member.
+        assert sched.cohorts_created == 2
+        assert sched.stats()["flows_issued"] > 0
+
+    def test_park_unpark_matches_per_vm(self):
+        def doubles(env):
+            return [_ParkingMemory(env, park_t=50.0, unpark_t=4000.0)
+                    for _ in range(2)]
+
+        env_a = Environment(seed=9)
+        per_vm = run_per_vm(env_a, doubles(env_a), 9010.0)
+        env_b = Environment(seed=9)
+        _, grouped = run_grouped(env_b, doubles(env_b), 9010.0)
+        # Rounds before the park, none while parked (hourly rechecks
+        # only), rounds again after the 4000 s unpark is noticed.
+        assert grouped == per_vm
+        assert all(total > 0 for total in grouped.values())
+
+
+class TestChurn:
+    def test_churned_equals_per_vm_with_matching_lifetimes(self):
+        """A member that leaves matches a per-VM stream stopped then."""
+        def drive(env, grouped):
+            server = BackupServer(env)
+            memory = _RatedMemory(rate_bps=2e6, interval_s=20.0)
+            stream = CheckpointStream(memory, CheckpointConfig())
+            if grouped:
+                sched = GroupCheckpointScheduler(env, server.ingest)
+                sched.join("a", stream)
+                env.run(until=130.0)
+                sched.leave("a")
+                # Re-enrollment mid-run (fresh cohort at the new time).
+                memory_b = _RatedMemory(rate_bps=2e6, interval_s=20.0)
+                sched.join("b", CheckpointStream(memory_b,
+                                                 CheckpointConfig()))
+                env.run(until=310.0)
+                env.run(until=env.process(sched.settle()))
+                return dict(sched.flushed)
+            flushed = {}
+            stop_a = env.event()
+
+            def _acc(nbytes, member="a"):
+                flushed[member] = flushed.get(member, 0.0) + nbytes
+
+            stream.run(env, server.ingest, stop_a, on_flush=_acc)
+            env.run(until=130.0)
+            stop_a.succeed()
+            memory_b = _RatedMemory(rate_bps=2e6, interval_s=20.0)
+            stream_b = CheckpointStream(memory_b, CheckpointConfig())
+            stop_b = env.event()
+
+            def _acc_b(nbytes, member="b"):
+                flushed[member] = flushed.get(member, 0.0) + nbytes
+
+            stream_b.run(env, server.ingest, stop_b, on_flush=_acc_b)
+            env.run(until=310.0)
+            stop_b.succeed()
+            env.run(until=340.0)
+            return flushed
+
+        per_vm = drive(Environment(seed=5), grouped=False)
+        grouped = drive(Environment(seed=5), grouped=True)
+        assert grouped == per_vm
 
 
 class TestInFlightHygiene:
