@@ -1,15 +1,15 @@
-"""Market-drive microbenchmark: per-step replay vs threshold skipping.
+"""Market-drive microbenchmark: per-point replay vs threshold skipping.
 
 The same stack — one calibrated 14-day trace, one :class:`SpotMarket`,
 a fleet of registered spot instances, one crossing watch at the
-on-demand boundary — is driven twice.  The *stepped* run pins the
-drive to the per-point path with a no-op step listener (the legacy
-behaviour, and still the behaviour of any observed or
-predictor-enabled run); the *indexed* run leaves only crossing
-thresholds active, so the drive sleeps straight between them.  Both
-runs must warn and terminate the identical instances; the payoff is
-the kernel-event count, reported as ``events_eliminated`` and the
-per-mode ``events_per_sec`` in the bench artifact.
+on-demand boundary — is driven twice.  The *stepped* run adds a no-op
+:class:`PriceWatch` with no band, which matches every trace index and
+so makes the drive deliver every point (the per-point reference); the
+*indexed* run leaves only crossing thresholds active, so the drive
+sleeps straight between them.  Both runs must warn and terminate the
+identical instances; the payoff is the kernel-event count, reported as
+``events_eliminated`` and the per-mode ``events_per_sec`` in the bench
+artifact.
 """
 
 import time
@@ -27,15 +27,12 @@ def _drive_once(trace, itype, seed, bids, stepped):
     env = Environment(seed=seed)
     zone = default_region(1).zones[0]
     market = SpotMarket(env, itype, zone, trace)
-    if stepped:
-        market.on_price_change(lambda market, price: None)
-    else:
-        # The controller's park/unpark logic watches the on-demand
-        # boundary; a crossing watch there keeps the indexed run
-        # honest about the wake-ups a real simulation needs.
-        market.add_watch(
-            PriceWatch(lambda market, price: None,
-                       lo=trace.on_demand_price))
+    # The controller's park/unpark logic watches the on-demand
+    # boundary; a crossing watch there keeps the indexed run honest
+    # about the wake-ups a real simulation needs.  The stepped run's
+    # unbounded watch matches every point.
+    lo = None if stepped else trace.on_demand_price
+    market.add_watch(PriceWatch(lambda market, price: None, lo=lo))
     fleet = []
     for bid in bids:
         instance = Instance(env, itype, zone, Market.SPOT, bid=bid)

@@ -12,25 +12,21 @@ price step, the market keeps a sorted index of active thresholds
 (instance bids, plus the bands of registered :class:`PriceWatch`
 crossing listeners), precomputes the next trace index any of them cares
 about with vectorized lookups over the trace arrays, and sleeps
-straight to that point.  Two listener tiers exist:
-
-* **Step listeners** (:meth:`SpotMarket.on_price_change`) receive every
-  price point; registering one — or attaching an
-  :class:`~repro.obs.Observability` facade, which needs the per-point
-  ``spot.price`` event stream — pins the market to the legacy
-  step-by-step drive.
-* **Crossing watches** (:meth:`SpotMarket.add_watch`) declare a price
-  band and are woken only at trace points inside it; points outside
-  every active band and below every registered bid are skipped without
-  a kernel event.  Series consumers that used to tap the step stream
-  (pool price history) are reconstructed lazily from the trace arrays
-  via :meth:`SpotMarket.delivered_count`.
+straight to that point.  There is one listener tier: a watch declares a
+price band and is woken only at trace points inside it; points outside
+every active band and below every registered bid are skipped without a
+kernel event.  A consumer that needs every point registers a watch with
+no band, which matches every trace index.  Series consumers (pool price
+history) are reconstructed lazily from the trace arrays via
+:meth:`SpotMarket.delivered_count`.  Observability is a passive tap:
+``spot.price`` is emitted only at delivered points, so attaching it
+does not change when the market wakes.
 
 Skipping is outcome-preserving: a skipped point is one at which, by
-construction, the step drive would have warned nobody and every watch
-callback's band predicate would have been false.  Wake timestamps
-reproduce the step drive's *accumulated* clock (see ``_arrival``), so
-warning deadlines and billing windows are bit-identical to the
+construction, a per-point drive would have warned nobody and every
+watch callback's band predicate would have been false.  Wake timestamps
+reproduce the per-point drive's *accumulated* clock (see ``_arrival``),
+so warning deadlines and billing windows are bit-identical to the
 step-by-step path.
 """
 
@@ -130,7 +126,6 @@ class SpotMarket:
         #: (not a list) so deregister is O(1) and a revocation storm
         #: deregistering mid-iteration cannot corrupt a scan.
         self._instances = {}
-        self._price_listeners = []
         self._watches = []
         self._warning_listeners = []
         self._revoke_callback = None
@@ -139,10 +134,10 @@ class SpotMarket:
             raise ValueError("price trace is empty")
         self._n = len(self._times)
         self._cursor = 0
-        #: The step drive's accumulated clock after the last processed
-        #: point.  ``now + (t - now)`` is not always exactly ``t`` in
-        #: floats, and warning deadlines derive from wake times, so the
-        #: skipping drive must reproduce the same accumulation.
+        #: The per-point drive's accumulated clock after the last
+        #: processed point.  ``now + (t - now)`` is not always exactly
+        #: ``t`` in floats, and warning deadlines derive from wake times,
+        #: so the skipping drive must reproduce the same accumulation.
         self._clock = env.now
         #: True when every per-point hop ``t[i-1] + (t[i] - t[i-1])``
         #: lands exactly on ``t[i]`` — then arrival times are just the
@@ -188,7 +183,7 @@ class SpotMarket:
         return float(self._prices[idx])
 
     def delivered_count(self):
-        """Leading trace points the step drive would have fed by now.
+        """Leading trace points a per-point drive would have fed by now.
 
         Series consumers (pool price history) reconstruct their sample
         windows from ``prices[:delivered_count()]`` instead of
@@ -196,7 +191,7 @@ class SpotMarket:
         runs, so a consumer attached before the run starts sees the
         point at t=0 while one attached mid-run at t=0 (after the
         drive's initialization event) does not — matching when each
-        would have started hearing step callbacks.
+        would have started hearing unbounded-watch callbacks.
         """
         if not self._started:
             return 0
@@ -206,17 +201,11 @@ class SpotMarket:
         # accumulated clock landed an ulp below the trace time.
         return max(delivered, self._cursor)
 
-    def on_price_change(self, callback):
-        """Call ``callback(market, price)`` on every price change.
-
-        Step listeners pin the market to the per-point drive; prefer
-        :meth:`add_watch` for crossing-triggered logic.
-        """
-        self._price_listeners.append(callback)
-        self.rearm()
-
     def add_watch(self, watch):
-        """Register a :class:`PriceWatch` crossing listener."""
+        """Register a :class:`PriceWatch` crossing listener.
+
+        Callbacks at one point run in registration order.
+        """
         self._watches.append(watch)
         self.rearm()
         return watch
@@ -224,8 +213,8 @@ class SpotMarket:
     def on_warning(self, callback):
         """Call ``callback(market, instance, deadline)`` at each warning.
 
-        A passive tap on the warning path: unlike step listeners it
-        does not change the drive's wake planning, so shard event taps
+        A passive tap on the warning path: unlike a watch it does not
+        change the drive's wake planning, so shard event taps
         can observe revocation warnings without altering when (or how
         often) the market wakes — which would break bit-identity with
         an untapped run.
@@ -301,10 +290,6 @@ class SpotMarket:
 
     # -- internal ------------------------------------------------------
 
-    def _step_mode(self):
-        """Whether every trace point must be delivered individually."""
-        return bool(self._price_listeners) or self.env.obs is not None
-
     def _min_active_bid(self):
         """Smallest bid among live registered instances, or ``None``."""
         index = self._bid_index
@@ -334,8 +319,6 @@ class SpotMarket:
         start = self._cursor
         if start >= self._n:
             return None
-        if self._step_mode():
-            return start
         best = None
         bid = self._min_active_bid()
         if bid is not None:
@@ -349,11 +332,12 @@ class SpotMarket:
         return best
 
     def _arrival(self, target):
-        """The step drive's clock on reaching ``target``.
+        """The per-point drive's clock on reaching ``target``.
 
         Folds the per-point ``clock + (t - clock)`` accumulation over
         any skipped points so the wake timestamp — and every warning
-        deadline derived from it — is bit-identical to the step path.
+        deadline derived from it — is bit-identical to the per-point
+        path.
         """
         times = self._times
         clock = self._clock
@@ -377,7 +361,7 @@ class SpotMarket:
         """Advance past points whose arrival time has already elapsed.
 
         A rearm can restart the driver long after it slept over points
-        that crossed none of the *then*-active thresholds.  The step
+        that crossed none of the *then*-active thresholds.  A per-point
         drive delivered those points at their own times — before the
         threshold-set change that triggered the rearm — so replaying
         them now, under the new thresholds, would act on stale prices.
@@ -415,12 +399,6 @@ class SpotMarket:
                     return  # Superseded by a rearm while sleeping.
                 self._sleep_index = None
             self._process_point(target, when)
-        obs = env.obs
-        if obs is not None:
-            obs.emit("spot.drive", type=self.itype.name, zone=self.zone.name,
-                     **{k: self.stats[k]
-                        for k in ("points", "wakes", "delivered",
-                                  "rearms", "stale_skips")})
 
     def _process_point(self, target, when):
         """Deliver one trace point: emit, notify, and scan for warns."""
@@ -434,8 +412,6 @@ class SpotMarket:
             if obs is not None:
                 obs.emit("spot.price", type=self.itype.name,
                          zone=self.zone.name, price=price)
-            for listener in list(self._price_listeners):
-                listener(self, price)
             for watch in list(self._watches):
                 if watch.matches(price):
                     watch.callback(self, price)
@@ -447,7 +423,7 @@ class SpotMarket:
         """Warn every live instance whose bid the price crossed.
 
         The sorted bid index yields the outbid prefix in O(log n + k);
-        warnings are issued in registration order (the order the step
+        warnings are issued in registration order (the order a per-point
         drive's linear scan used), which keeps process creation — and
         therefore event ids — identical.
         """

@@ -110,8 +110,7 @@ class SpotCheckController:
         self.backup_failures = 0
         #: Optional hook ``on_storm(pool, storm)`` fired once per
         #: finalized revocation storm — shard event taps ride on this
-        #: instead of the obs bus (which would pin markets to the
-        #: per-point step drive).
+        #: instead of the obs bus.
         self.on_storm = None
         #: Optional :class:`~repro.traffic.engine.TrafficEngine`.
         self.traffic = None
@@ -204,23 +203,24 @@ class SpotCheckController:
     def _wire_pool_dynamics(self, market, pool):
         """Subscribe pool dynamics to one market's price trace.
 
-        With the predictor off, the controller only ever *acts* on two
-        price bands — the proactive window (od, bid] and the
-        return-to-spot recovery band (-inf, od] — so it registers
-        crossing watches and the market drive skips every other point.
-        The predictor's EWMA must see every sample in controller gate
-        order, so predictive runs fall back to the step-listener tier.
+        The controller acts on two price bands — the proactive window
+        (od, bid] and the return-to-spot recovery band (-inf, od] — so
+        it registers crossing watches and the market drive skips every
+        other point.  The predictor's EWMA must see every sample while
+        the pool is live, so predictive runs add an unbounded watch
+        between the two; callbacks at one point then run in the order
+        proactive, predictor, return.
         """
-        if self.predictor is not None:
-            market.on_price_change(
-                lambda mkt, price, p=pool: self._on_price_change(p, price))
-            return
         od_price = pool.itype.on_demand_price
         if self.config.proactive_migration and od_price < pool.bid:
             market.add_watch(PriceWatch(
                 lambda mkt, price, p=pool: self._maybe_proactive_drain(
                     p, price),
                 lo=od_price, hi=pool.bid))
+        if self.predictor is not None:
+            market.add_watch(PriceWatch(
+                lambda mkt, price, p=pool: self._maybe_predictive_drain(
+                    p, price)))
         if self.config.return_to_spot:
             # Inactive while nothing is parked (most of the time, which
             # is what makes the recovery band skippable at all); the
@@ -766,22 +766,15 @@ class SpotCheckController:
             self._gc_host_if_empty(host)
         self._gc_host_if_empty(source_host)
 
-    def _on_price_change(self, pool, price):
-        """Step-listener tier: fed every price point (predictive runs)."""
-        pool.record_price(self.env.now, price)
-        od_price = pool.itype.on_demand_price
-        if self.config.proactive_migration and od_price < price <= pool.bid:
-            self._maybe_proactive_drain(pool, price)
-        if self.predictor is not None and pool.vm_count > 0 and \
-                pool.key not in self._draining_pools and \
+    def _maybe_predictive_drain(self, pool, price):
+        """Unbounded-watch trigger: feed the predictor, drain on signal."""
+        if pool.vm_count > 0 and pool.key not in self._draining_pools and \
                 self.predictor.observe(pool.key, self.env.now, price,
                                        pool.bid):
             self._draining_pools.add(pool.key)
             self._note_pool_move(pool, "pool.drain", cause="predictive",
                                  price=price)
             self.env.process(self._proactive_drain(pool, cause="predictive"))
-        if self.config.return_to_spot and price <= od_price:
-            self._maybe_return_to_spot(pool, price)
 
     def _maybe_proactive_drain(self, pool, price):
         """Crossing-tier trigger: the price entered (od, bid]."""
@@ -1126,6 +1119,11 @@ class SpotCheckController:
             self.ledger.add_cost(
                 f"backup:{server.id}", hours * server.spec.hourly_price)
         self.ledger.finalize()
+        obs = self.env.obs
+        if obs is not None:
+            for market in self.api.marketplace:
+                obs.emit("spot.drive", type=market.itype.name,
+                         zone=market.zone.name, **market.drive_stats())
 
     def summary(self, total_vms=None):
         """Cost/availability/storm report (see AccountingLedger)."""

@@ -37,9 +37,9 @@ class TestPrices:
     def test_price_listeners_called(self, env, zone):
         market = make_market(env, zone, steps=[(0, 0.02), (50, 0.03)])
         seen = []
-        market.on_price_change(lambda m, p: seen.append((env.now, p)))
+        market.add_watch(PriceWatch(lambda m, p: seen.append((env.now, p))))
         env.run(until=100)
-        assert (50.0, 0.03) in seen
+        assert seen == [(0.0, 0.02), (50.0, 0.03)]
 
     def test_empty_trace_rejected(self, env, zone):
         import numpy as np
@@ -260,10 +260,12 @@ class TestEventSkipping:
         assert instance.state is InstanceState.RUNNING
 
     def test_step_listener_pins_per_point_delivery(self, env, zone):
+        # A watch with no band is a per-step listener: it matches every
+        # trace index, so the drive delivers every point.
         steps = [(float(i * 60), 0.02) for i in range(50)]
         market = make_market(env, zone, steps=steps)
         seen = []
-        market.on_price_change(lambda m, p: seen.append((m.env.now, p)))
+        market.add_watch(PriceWatch(lambda m, p: seen.append((m.env.now, p))))
         env.run()
         assert len(seen) == 50
         assert market.drive_stats()["delivered"] == 50

@@ -63,7 +63,7 @@ class TestSimulateCommand:
         assert code == 0
         digest = capsys.readouterr().out
         assert "events:" in digest
-        assert "spot.price" in digest
+        assert "spot.drive" in digest
 
 
 class TestTracesCommand:

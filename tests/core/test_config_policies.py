@@ -116,8 +116,6 @@ class TestAllocationPolicies:
         policy = make_allocation_policy("4P-COST")
         pools = make_pools(env, zone, prices={
             "m3.large": 0.002, "m3.2xlarge": 0.50})
-        for pool in pools:
-            pool.record_price(0.0, pool.market.current_price())
         counts = {}
         for _ in range(400):
             name = policy.choose(pools, rng).itype.name

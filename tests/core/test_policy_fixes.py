@@ -1,7 +1,6 @@
 """Regression tests for the policy-layer fixes that shipped with the
-portfolio family: the 4P-ST clock, the knee bid floor plumbing, the
-4P-COST price-series freshness, and the predictor's batch-observe
-equivalence."""
+portfolio family: the 4P-ST clock, the knee bid floor plumbing, and
+the predictor's batch-observe equivalence."""
 
 import pytest
 
@@ -22,7 +21,7 @@ from repro.core.pools import SpotPool
 from repro.obs import Observability
 from repro.sim.kernel import Environment
 
-from tests.conftest import flat_trace, step_trace
+from tests.conftest import flat_trace
 
 MEDIUM = M3_CATALOG.get("m3.medium")
 DAY = 24 * 3600.0
@@ -128,41 +127,6 @@ class TestKneeFloor:
     def test_config_validates_floor(self, bad):
         with pytest.raises(ValueError):
             SpotCheckConfig(knee_floor_fraction=bad)
-
-
-class TestPriceSeriesFreshness:
-    """4P-COST's mean permanently ignored the lazy market window once
-    any manual sample existed, freezing weights on stale prices."""
-
-    def _stepped_pool(self, env, zone):
-        # 11 points at 0.01; a step listener pins the per-point drive,
-        # so delivered_count advances over every point.
-        trace = step_trace([(i * 100.0, 0.01) for i in range(11)])
-        market = SpotMarket(env, MEDIUM, zone, trace)
-        market.on_price_change(lambda market, price: None)
-        return SpotPool(MEDIUM, zone, MEDIUM, market, bid=0.07)
-
-    def test_fresher_market_series_wins(self, env, zone):
-        pool = self._stepped_pool(env, zone)
-        # One early manual sample at a very different price.
-        pool.record_price(5.0, 0.05)
-        env.run(until=2000.0)
-        # The market window (newest point t=1000) outranks the t=5
-        # manual sample; the pre-fix behaviour returned 0.05 forever.
-        assert pool.recent_mean_price_per_slot() == pytest.approx(0.01)
-
-    def test_fresher_manual_sample_wins(self, env, zone):
-        pool = self._stepped_pool(env, zone)
-        env.run(until=2000.0)
-        pool.record_price(3000.0, 0.05)
-        assert pool.recent_mean_price_per_slot() == pytest.approx(0.05)
-
-    def test_all_manual_runs_unchanged(self, env, zone):
-        # No market delivery at all: the manual series is the only one.
-        pool = medium_pool(env, zone)
-        pool.record_price(1.0, 0.02)
-        pool.record_price(2.0, 0.04)
-        assert pool.recent_mean_price_per_slot() == pytest.approx(0.03)
 
 
 class TestPredictorSeries:

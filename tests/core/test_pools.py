@@ -11,7 +11,7 @@ from repro.core.policies.spares import HotSparePolicy
 from repro.core.pools import BackupPool, OnDemandPool, PoolManager, SpotPool
 from repro.virt.hypervisor import HostVM
 
-from tests.conftest import flat_trace
+from tests.conftest import flat_trace, step_trace
 
 MEDIUM = M3_CATALOG.get("m3.medium")
 LARGE = M3_CATALOG.get("m3.large")
@@ -58,9 +58,11 @@ class TestSpotPool:
         assert pool.price_per_slot() == pytest.approx(0.015)
 
     def test_recent_mean_price(self, env, zone):
-        pool = make_spot_pool(env, zone)
-        pool.record_price(0.0, 0.02)
-        pool.record_price(10.0, 0.04)
+        market = SpotMarket(env, MEDIUM, zone,
+                            step_trace([(0.0, 0.02), (10.0, 0.04)]))
+        pool = SpotPool(MEDIUM, zone, MEDIUM, market,
+                        bid=MEDIUM.on_demand_price)
+        env.run(until=20.0)
         assert pool.recent_mean_price_per_slot() == pytest.approx(0.03)
 
     def test_migration_count_window(self, env, zone):
