@@ -117,7 +117,7 @@ class _RestoreToken:
 
 
 class _BackupIngest:
-    """``FairShareLink``-compatible facade over a server's commit path.
+    """Transfer facade over a server's commit path.
 
     Checkpoint streams call ``transfer(size, rate_cap=...)``; each call
     becomes a commit flow on the server's shared datapath, so steady
@@ -166,7 +166,7 @@ class BackupServer:
             env,
             {"disk": self._disk_capacity_bps, "nic": self.spec.net_bps},
             on_rebalance=self._observe_datapath)
-        #: Link-compatible handle checkpoint streams flush through.
+        #: ``transfer`` handle checkpoint streams flush through.
         self.ingest = _BackupIngest(self)
 
     @staticmethod

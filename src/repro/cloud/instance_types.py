@@ -30,8 +30,8 @@ class InstanceType:
     on_demand_price:
         Fixed price in $/hour for a non-revocable server.
     network_gbps:
-        Usable network bandwidth in Gbit/s (drives migration and
-        checkpoint transfer times).
+        Usable network bandwidth in Gbit/s.  Catalog data only; no
+        simulated transfer reads it.
     hvm:
         Whether the type supports hardware virtual machines.  The
         XenBlanket nested hypervisor — and therefore SpotCheck — can

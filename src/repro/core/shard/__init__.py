@@ -12,7 +12,7 @@ cross-market migration decisions.
 Shards exchange typed messages (see :mod:`repro.core.shard.messages`)
 over a deterministic mailbox layer (:mod:`repro.core.shard.mailbox`):
 provision/park/migrate requests flow coordinator -> shard; revocation
-warnings, price crossings, storm reports, and SLA segments flow back.
+warnings, storm reports, and SLA segments flow back.
 Per-market seeded RNG streams plus the mailbox's logical-clock merge
 rule make a sharded run bit-identical to the single-process run at any
 shard count — ``ShardedCell.run(shards=4)`` digests equal
@@ -40,7 +40,6 @@ from repro.core.shard.messages import (
     MigrateAck,
     MigrateRequest,
     ParkRequest,
-    PriceCrossing,
     ProvisionRequest,
     RevocationWarning,
     RunCommand,
@@ -63,7 +62,6 @@ __all__ = [
     "MigrateRequest",
     "Outbox",
     "ParkRequest",
-    "PriceCrossing",
     "ProvisionRequest",
     "RevocationWarning",
     "RunCommand",

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from repro.backup.server import BackupServerSpec
 from repro.cloud.api import CloudApi
 from repro.cloud.instance_types import M3_CATALOG
-from repro.cloud.spot_market import PriceWatch
 from repro.cloud.zones import Region, Zone
 from repro.core.config import SpotCheckConfig
 from repro.core.controller import SpotCheckController
@@ -33,7 +32,6 @@ from repro.core.shard.messages import (
     MigrateAck,
     MigrateRequest,
     ParkRequest,
-    PriceCrossing,
     ProvisionRequest,
     RevocationWarning,
     RunCommand,
@@ -203,22 +201,11 @@ class MarketSimulation:
         """Attach shard event taps without disturbing the market drive.
 
         Warnings and storms ride passive hooks (``on_warning`` /
-        ``on_storm``); the on-demand boundary crossings ride a pair of
-        gated :class:`PriceWatch` bands, mirroring the controller's own
-        crossing-driven style — the drive still skips every point no
-        tap cares about.
+        ``on_storm``), so the drive still skips every point no
+        controller watch cares about.
         """
-        market = self.pool.market
-        market.on_warning(self._tap_warning)
+        self.pool.market.on_warning(self._tap_warning)
         self.controller.on_storm = self._tap_storm
-        od_price = self.pool.itype.on_demand_price
-        self._expensive = market.price_at(0.0) > od_price
-        market.add_watch(PriceWatch(
-            self._tap_expensive, lo=od_price,
-            active=lambda: not self._expensive))
-        market.add_watch(PriceWatch(
-            self._tap_recovered, hi=od_price,
-            active=lambda: self._expensive))
 
     def _tap_warning(self, market, instance, deadline):
         self.outbox.put(RevocationWarning(
@@ -230,18 +217,6 @@ class MarketSimulation:
             stamp=self.outbox.stamp(self.env.now),
             market_key=self.spec.key, hosts_lost=len(storm.hosts),
             vms_displaced=len(storm.vms)))
-
-    def _tap_expensive(self, market, price):
-        self._expensive = True
-        self.outbox.put(PriceCrossing(
-            stamp=self.outbox.stamp(self.env.now),
-            market_key=self.spec.key, price=price, band="expensive"))
-
-    def _tap_recovered(self, market, price):
-        self._expensive = False
-        self.outbox.put(PriceCrossing(
-            stamp=self.outbox.stamp(self.env.now),
-            market_key=self.spec.key, price=price, band="recovered"))
 
     # -- request application -------------------------------------------
 

@@ -8,8 +8,8 @@ Coordinator -> shard (requests)
     epoch boundary.
 
 Shard -> coordinator (events)
-    :class:`RevocationWarning`, :class:`PriceCrossing`,
-    :class:`StormReport`, :class:`SlaSegment`, :class:`MigrateAck` —
+    :class:`RevocationWarning`, :class:`StormReport`,
+    :class:`SlaSegment`, :class:`MigrateAck` —
     observations stamped with a :class:`Stamp` logical clock so the
     coordinator can merge streams from any number of shards into one
     total order (see :mod:`repro.core.shard.mailbox`).
@@ -94,20 +94,6 @@ class RevocationWarning:
     market_key: tuple
     bid: float
     deadline: float
-
-
-@dataclass(frozen=True)
-class PriceCrossing:
-    """The spot price crossed the on-demand boundary.
-
-    ``band`` is ``"expensive"`` (rose above on-demand) or
-    ``"recovered"`` (fell back below).
-    """
-
-    stamp: Stamp
-    market_key: tuple
-    price: float
-    band: str
 
 
 @dataclass(frozen=True)
@@ -215,7 +201,6 @@ __all__ = [
     "MigrateAck",
     "MigrateRequest",
     "ParkRequest",
-    "PriceCrossing",
     "ProvisionRequest",
     "RevocationWarning",
     "RunCommand",

@@ -95,7 +95,9 @@ class FairShareResource:
         #: Number of rate recomputations performed so far.
         self.rebalances = 0
         self._last_update = env.now
-        self._wakeup = None
+        #: Generation of the armed completion wakeup.  Every replan
+        #: bumps it, so a superseded wakeup fires as a no-op.
+        self._gen = 0
 
     # -- public API -------------------------------------------------------
 
@@ -206,7 +208,9 @@ class FairShareResource:
                 members[path] = on_path
                 remaining[path] = max(self._capacity(path, on_path), 0.0)
         rates = {}
-        unfixed = set(flows)
+        # Insertion-ordered: capped flows are charged to their paths in
+        # arrival order, since float subtraction depends on order.
+        unfixed = dict.fromkeys(flows)
         while unfixed:
             levels = {}
             for path, on_path in members.items():
@@ -225,7 +229,7 @@ class FairShareResource:
                     rates[flow] = flow.rate_cap
                     for path in flow.paths:
                         remaining[path] -= flow.rate_cap
-                    unfixed.discard(flow)
+                    del unfixed[flow]
                 continue
             bottleneck = min(levels, key=levels.get)
             level = levels[bottleneck]
@@ -235,14 +239,16 @@ class FairShareResource:
                 rates[flow] = level
                 for path in flow.paths:
                     remaining[path] -= level
-                unfixed.discard(flow)
+                del unfixed[flow]
         return [rates.get(flow, 0.0) for flow in flows]
 
     def _replan(self):
-        """Schedule a wakeup at the earliest flow-completion time."""
-        if self._wakeup is not None and self._wakeup.is_alive:
-            self._wakeup.interrupt()
-            self._wakeup = None
+        """Arm one wakeup at the earliest flow-completion time.
+
+        The wakeup is a plain timeout tagged with a fresh generation; a
+        later replan supersedes it, and it then fires as a no-op.
+        """
+        self._gen += 1
         times = [flow.remaining / flow.rate
                  for flow in self.flows if flow.rate > 0]
         if not times:
@@ -251,14 +257,11 @@ class FairShareResource:
             return
         # Never plan a wakeup below the clock's float resolution.
         next_done = max(min(times), 1e-9 * max(self.env.now, 1.0))
-        self._wakeup = self.env.process(self._sleep_then_settle(next_done))
+        self.env.timeout(next_done, self._gen).callbacks.append(self._settle)
 
-    def _sleep_then_settle(self, delay):
-        from repro.sim.errors import Interrupt
-        try:
-            yield self.env.timeout(delay)
-        except Interrupt:
-            return
+    def _settle(self, wakeup):
+        if wakeup.value != self._gen:
+            return  # Superseded by a later replan.
         self._advance()
         self._rebalance()
 

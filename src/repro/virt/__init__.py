@@ -21,12 +21,10 @@ and the bandwidth available to move pages.
 
 from repro.virt.hypervisor import HostVM, NestedHypervisor
 from repro.virt.memory import MemoryModel, PAGE_SIZE
-from repro.virt.network import FairShareLink
 from repro.virt.testbed import MicroTestbed
 from repro.virt.vm import NestedVM, VMState
 
 __all__ = [
-    "FairShareLink",
     "HostVM",
     "MemoryModel",
     "MicroTestbed",

@@ -7,7 +7,6 @@ m3.large host can hold two m3.medium nested VMs, and is sometimes
 cheaper than two m3.medium spot servers.
 """
 
-from repro.virt.network import FairShareLink
 from repro.virt.vm import VMState
 
 
@@ -50,9 +49,6 @@ class NestedHypervisor:
         #: aggregate counters and free-slot index current without
         #: scanning hosts.
         self.on_change = None
-        #: Host NIC shared by checkpoint streams and migrations.
-        self.link = FairShareLink(
-            env, capacity_bps=host_itype.network_gbps * 125e6)
 
     @property
     def free_slots(self):
@@ -136,10 +132,6 @@ class HostVM:
     @property
     def free_slots(self):
         return self.hypervisor.free_slots
-
-    @property
-    def link(self):
-        return self.hypervisor.link
 
     def __repr__(self):
         return (f"<HostVM {self.id} {self.itype.name} "

@@ -205,6 +205,9 @@ class CheckpointStream:
         *background* transfer (the VM keeps running and dirtying while
         the previous flush drains — that overlap is what makes the
         steady-state stream rate equal ``stream_rate_bps``).
+        ``backup_link`` is anything whose ``transfer(nbytes,
+        rate_cap=...)`` returns a completion event: a backup server's
+        ``ingest`` or a :class:`~repro.sim.resources.FairShareResource`.
         ``on_flush(bytes)`` is invoked as each flush commits.  The
         process returns the total committed bytes once the stop event
         has fired and all in-flight flushes have drained.

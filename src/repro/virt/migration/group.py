@@ -244,8 +244,8 @@ class GroupCheckpointScheduler:
         Simulation environment.
     backup_link:
         Transfer facade (``.transfer(nbytes, rate_cap=...)`` returning a
-        completion event) — a ``FairShareLink`` or a backup server's
-        ``ingest``.
+        completion event) — a backup server's ``ingest`` or any
+        :class:`~repro.sim.resources.FairShareResource`.
     defer_accounting:
         When True, rounds cost O(1) regardless of cohort size and
         per-member totals are settled once at :meth:`settle` (fleet

@@ -117,8 +117,8 @@ class PreCopyMigration:
         plan = self.plan(memory)
         return plan.converged and plan.total_time_s <= deadline_s
 
-    def run(self, env, vm, link=None):
-        """DES process: execute the plan against a shared link.
+    def run(self, env, vm):
+        """DES process: execute the plan on the simulated clock.
 
         The VM is MIGRATING for the pre-copy rounds and SUSPENDED for
         the stop-and-copy pause.  Returns the realized plan.
@@ -129,20 +129,9 @@ class PreCopyMigration:
             obs = getattr(env, "obs", None)
             plan = self.plan(vm.memory)
             vm.set_state(VMState.MIGRATING)
-            if link is not None:
-                for index, size in enumerate(plan.round_bytes, 1):
-                    yield link.transfer(size)
-                    if obs is not None:
-                        obs.emit("live.precopy_round", vm=vm.id,
-                                 round=index, bytes=size)
-                vm.set_state(VMState.SUSPENDED)
-                final = plan.downtime_s * self.bandwidth
-                if final > 0:
-                    yield link.transfer(max(final, 1.0))
-            else:
-                yield env.timeout(plan.total_time_s - plan.downtime_s)
-                vm.set_state(VMState.SUSPENDED)
-                yield env.timeout(plan.downtime_s)
+            yield env.timeout(plan.total_time_s - plan.downtime_s)
+            vm.set_state(VMState.SUSPENDED)
+            yield env.timeout(plan.downtime_s)
             if obs is not None:
                 obs.emit("live.stop_and_copy", vm=vm.id,
                          downtime_s=plan.downtime_s,

@@ -18,7 +18,6 @@ from repro.core.shard.messages import (
     MigrateAck,
     MigrateRequest,
     ParkRequest,
-    PriceCrossing,
     RevocationWarning,
     SlaSegment,
     Stamp,
@@ -28,8 +27,8 @@ from repro.experiments.chaos import default_chaos_plan
 from repro.traces.model import MarketParams
 
 #: Spot-price dynamics spiky enough that a 1-day, 8-VM cell sees
-#: revocation storms, price crossings, and restore migrations — the
-#: full message taxonomy — in a few seconds of wall clock.  The
+#: revocation storms and restore migrations — the full message
+#: taxonomy — in a few seconds of wall clock.  The
 #: on-demand price must match the m3.medium catalog entry (0.07):
 #: the pool bids the catalog price, and a higher trace ceiling would
 #: reject the bid at boot.
@@ -52,9 +51,9 @@ def calm_markets(zones="abcd"):
             for z in zones]
 
 
-def crossing(time, market, seq, key="m"):
-    return PriceCrossing(stamp=Stamp(time, market, seq),
-                         market_key=key, price=0.1, band="above")
+def warning(time, market, seq, key="m"):
+    return RevocationWarning(stamp=Stamp(time, market, seq),
+                             market_key=key, bid=0.1, deadline=time + 120.0)
 
 
 class TestOutbox:
@@ -76,7 +75,7 @@ class TestOutbox:
 
     def test_drain_empties_the_outbox(self):
         outbox = Outbox(0)
-        outbox.put(crossing(1.0, 0, 0))
+        outbox.put(warning(1.0, 0, 0))
         assert len(outbox) == 1
         assert [m.stamp.time for m in outbox.drain()] == [1.0]
         assert len(outbox) == 0
@@ -85,24 +84,24 @@ class TestOutbox:
 
 class TestMerge:
     def test_merge_is_partition_independent(self):
-        a = [crossing(1.0, 0, 0), crossing(3.0, 0, 1)]
-        b = [crossing(1.0, 1, 0), crossing(2.0, 1, 1)]
+        a = [warning(1.0, 0, 0), warning(3.0, 0, 1)]
+        b = [warning(1.0, 1, 0), warning(2.0, 1, 1)]
         merged = merge_messages([a, b])
         assert merged == merge_messages([b, a])
         assert merged == merge_messages([a + b])
         assert [m.stamp for m in merged] == sorted(m.stamp for m in merged)
 
     def test_equal_times_break_ties_by_market_index(self):
-        late_market = crossing(4.0, 7, 0)
-        early_market = crossing(4.0, 2, 0)
+        late_market = warning(4.0, 7, 0)
+        early_market = warning(4.0, 2, 0)
         merged = merge_messages([[late_market], [early_market]])
         assert merged == [early_market, late_market]
 
     def test_mailbox_accumulates_batches_in_order(self):
         mailbox = Mailbox()
-        first = mailbox.deliver([[crossing(1.0, 0, 0)]])
-        second = mailbox.deliver([[crossing(2.0, 1, 0)],
-                                  [crossing(2.0, 0, 1)]])
+        first = mailbox.deliver([[warning(1.0, 0, 0)]])
+        second = mailbox.deliver([[warning(2.0, 1, 0)],
+                                  [warning(2.0, 0, 1)]])
         assert len(first) == 1 and len(second) == 2
         assert [m.stamp.market for m in mailbox.messages] == [0, 0, 1]
 
@@ -155,14 +154,13 @@ class TestBitIdentity:
         assert summary["revocation_events"] == 0
 
     def test_stormy_cell_is_identical_and_exercises_the_taxonomy(self):
-        """Spiky markets: warnings, storms, crossings, and SLA segments
+        """Spiky markets: warnings, storms, and SLA segments
         must all merge identically across process boundaries."""
         results = run_digests(8, spiky_markets("ab"),
                               ShardConfig(seed=5, days=1.0), (1, 2))
         assert results[0].digest() == results[1].digest()
         kinds = {type(m).__name__ for m in results[0].messages}
-        assert {"RevocationWarning", "StormReport", "PriceCrossing",
-                "SlaSegment"} <= kinds
+        assert {"RevocationWarning", "StormReport", "SlaSegment"} <= kinds
         assert results[0].summary["revocation_events"] > 0
         assert results[0].summary["migrations"] > 0
 

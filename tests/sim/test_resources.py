@@ -1,5 +1,7 @@
 """Tests for Resource, Container, and the fair-share bandwidth resource."""
 
+import itertools
+
 import pytest
 
 from repro.sim import (Container, Environment, FairShareResource, Resource,
@@ -283,3 +285,43 @@ class TestFairShareResource:
         env.run(until=proc)
         assert proc.value == pytest.approx(3.0)
         assert env.now == pytest.approx(10.0)
+
+    def test_capped_flows_charge_the_path_in_arrival_order(self, env):
+        """Float subtraction depends on order: the uncapped survivor's
+        rate must be the arrival-order fold of the caps, whatever order
+        the capped flows sit in memory."""
+        caps = (0.01, 0.07, 0.13, 0.19)
+        for order in itertools.permutations(caps):
+            resource = FairShareResource(Environment(), {"link": 1.0})
+            for cap in order:
+                resource.transfer(1e3, rate_cap=cap)
+            resource.transfer(1e3)
+            expected = 1.0
+            for cap in order:
+                expected -= cap
+            assert resource.flows[-1].rate == expected, order
+
+
+class TestFairShareWakeup:
+    def test_isolated_flow_costs_two_events(self, env):
+        resource = FairShareResource(env, {"link": 100.0})
+        done = resource.transfer(1000.0)
+        env.run()
+        # One completion wakeup, one completion event.
+        assert env.events_processed == 2
+        assert done.value == pytest.approx(10.0)
+
+    def test_mid_flow_arrival_adds_one_stale_wakeup(self, env, monkeypatch):
+        resource = FairShareResource(env, {"link": 100.0})
+        monkeypatch.setattr(env, "process", lambda generator: pytest.fail(
+            "the datapath must not start a process"))
+        first = resource.transfer(1000.0)
+        env.run(until=5.0)
+        second = resource.transfer(100.0)
+        env.run()
+        # Two flows at two events each, plus the wakeup the arrival
+        # superseded (armed for t=10, fired as a no-op).
+        assert env.events_processed == 5
+        assert second.value == pytest.approx(2.0)
+        assert first.value == pytest.approx(11.0)
+        assert resource.rebalances == 4

@@ -132,8 +132,8 @@ class TestCheckpointStream:
             CheckpointConfig(ramp_factor=0)
 
     def test_des_stream_flushes(self, env):
-        from repro.virt.network import FairShareLink
-        link = FairShareLink(env, capacity_bps=100e6)
+        from repro.sim.resources import FairShareResource
+        link = FairShareResource(env, {"nic": 100e6})
         stop = env.event()
         flushed = []
         stream = CheckpointStream(GUEST)

@@ -1,37 +1,41 @@
-"""Tests for the fair-share link."""
+"""A host link modelled as a single-path fair-share resource."""
 
 import pytest
 
-from repro.virt.network import FairShareLink
+from repro.sim.resources import FairShareResource
+
+
+def nic(env, capacity=100.0):
+    return FairShareResource(env, {"nic": capacity})
 
 
 class TestSingleFlow:
     def test_full_capacity(self, env):
-        link = FairShareLink(env, capacity_bps=100.0)
+        link = nic(env)
         done = link.transfer(1000.0)
         env.run()
         assert done.triggered
         assert done.value == pytest.approx(10.0)
 
     def test_rate_cap_limits(self, env):
-        link = FairShareLink(env, capacity_bps=100.0)
+        link = nic(env)
         done = link.transfer(1000.0, rate_cap=10.0)
         env.run()
         assert done.value == pytest.approx(100.0)
 
     def test_invalid_args(self, env):
-        link = FairShareLink(env, capacity_bps=100.0)
+        link = nic(env)
         with pytest.raises(ValueError):
             link.transfer(0)
         with pytest.raises(ValueError):
             link.transfer(10, rate_cap=0)
         with pytest.raises(ValueError):
-            FairShareLink(env, capacity_bps=0)
+            nic(env, capacity=0)
 
 
 class TestSharing:
     def test_two_equal_flows_halve_rate(self, env):
-        link = FairShareLink(env, capacity_bps=100.0)
+        link = nic(env)
         a = link.transfer(1000.0)
         b = link.transfer(1000.0)
         env.run()
@@ -39,7 +43,7 @@ class TestSharing:
         assert b.value == pytest.approx(20.0)
 
     def test_short_flow_releases_bandwidth(self, env):
-        link = FairShareLink(env, capacity_bps=100.0)
+        link = nic(env)
         long_flow = link.transfer(1000.0)
         short_flow = link.transfer(100.0)
         env.run()
@@ -49,7 +53,7 @@ class TestSharing:
         assert long_flow.value == pytest.approx(11.0)
 
     def test_late_joiner(self, env):
-        link = FairShareLink(env, capacity_bps=100.0)
+        link = nic(env)
         first = link.transfer(1000.0)
         def joiner():
             yield env.timeout(5.0)
@@ -65,7 +69,7 @@ class TestSharing:
         assert first.value == pytest.approx(12.5)
 
     def test_capped_flow_leaves_rest_to_others(self, env):
-        link = FairShareLink(env, capacity_bps=100.0)
+        link = nic(env)
         capped = link.transfer(100.0, rate_cap=10.0)
         greedy = link.transfer(900.0)
         env.run()
@@ -74,31 +78,34 @@ class TestSharing:
         assert greedy.value == pytest.approx(10.0)
 
     def test_active_flow_count(self, env):
-        link = FairShareLink(env, capacity_bps=100.0)
+        link = nic(env)
         link.transfer(1000.0)
         link.transfer(1000.0)
-        assert link.active_flows == 2
+        assert link.flow_count() == 2
         env.run()
-        assert link.active_flows == 0
+        assert link.flow_count() == 0
 
     def test_current_rate_estimate(self, env):
-        link = FairShareLink(env, capacity_bps=100.0)
-        assert link.current_rate() == pytest.approx(100.0)
+        """A joining flow's rate is its max-min share at arrival."""
+        link = nic(env)
         link.transfer(1e6)
-        assert link.current_rate() == pytest.approx(50.0)
-        assert link.current_rate(rate_cap=10.0) == pytest.approx(10.0)
+        assert link.flows[-1].rate == pytest.approx(100.0)
+        link.transfer(1e6)
+        assert link.flows[-1].rate == pytest.approx(50.0)
+        link.transfer(1e6, rate_cap=10.0)
+        assert link.flows[-1].rate == pytest.approx(10.0)
 
 
 class TestManyFlows:
     def test_equal_split_many(self, env):
-        link = FairShareLink(env, capacity_bps=100.0)
+        link = nic(env)
         flows = [link.transfer(100.0) for _ in range(10)]
         env.run()
         for flow in flows:
             assert flow.value == pytest.approx(10.0)
 
     def test_total_throughput_conserved(self, env):
-        link = FairShareLink(env, capacity_bps=100.0)
+        link = nic(env)
         sizes = [100.0, 300.0, 600.0]
         flows = [link.transfer(size) for size in sizes]
         env.run()

@@ -131,4 +131,3 @@ class TestNestedHypervisor:
         host = make_host(env, zone, LARGE, slots=2)
         assert host.itype is LARGE
         assert host.zone == zone
-        assert host.link.capacity == pytest.approx(LARGE.network_gbps * 125e6)
